@@ -18,17 +18,14 @@ use std::path::Path;
 /// outside the layering: anything may depend on them, and they must
 /// not depend on workspace crates.
 pub const LAYERS: &[(&str, &[&str])] = &[
-    (
-        "foundation",
-        &["taster-domain", "taster-stats", "taster-smtp"],
-    ),
+    ("foundation", &["taster-domain", "taster-stats"]),
     ("kernel", &["taster-sim"]),
     ("world", &["taster-ecosystem"]),
     ("agents", &["taster-mailsim", "taster-crawler"]),
     ("feeds", &["taster-feeds"]),
     ("analysis", &["taster-analysis"]),
     ("driver", &["taster-core"]),
-    ("surface", &["taster-serve", "taster-bench", "taster-lint"]),
+    ("surface", &["taster-serve", "taster-lint"]),
     ("app", &["taster"]),
 ];
 
@@ -52,7 +49,7 @@ pub struct DepEdge {
     /// The manifest line text, trimmed (diagnostic snippet).
     pub snippet: String,
     /// True for `[dev-dependencies]` — exempt from layering, since
-    /// test-only edges (e.g. a benchmark crate pulling the driver)
+    /// test-only edges (e.g. an integration test pulling the driver)
     /// cannot leak into shipped determinism.
     pub dev: bool,
 }

@@ -13,7 +13,7 @@ pub enum Context {
     Bin,
     /// Integration tests (`tests/` directories at any level).
     Test,
-    /// Criterion benches (`benches/` directories).
+    /// Bench targets (`benches/` directories).
     Bench,
     /// `examples/` programs.
     Example,

@@ -61,7 +61,7 @@ fn the_workspace_graph_matches_the_declared_layering() {
     let names: Vec<&str> = graph.crates.keys().map(String::as_str).collect();
     assert_eq!(
         graph.crates.len(),
-        17,
+        14,
         "crate count changed — update LAYERS and this pin: {names:?}"
     );
 
@@ -108,6 +108,54 @@ fn the_workspace_graph_matches_the_declared_layering() {
             }
         }
     }
+}
+
+/// The prose docs may name only crates that exist: every whole-word
+/// `taster-<name>` token in README, DESIGN and the architecture notes
+/// must be a workspace crate. Tokens followed by `-` or `/` (schema
+/// ids such as `taster-lint-graph/v1`, paths) are not crate names.
+#[test]
+fn docs_name_only_workspace_crates() {
+    let root = workspace_root();
+    let graph = CrateGraph::load(&root);
+    let mut unknown = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "docs/ARCHITECTURE.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc is checked in");
+        for (line_no, line) in text.lines().enumerate() {
+            for name in crate_tokens(line) {
+                if !graph.crates.contains_key(name) {
+                    unknown.push(format!("{doc}:{}: {name}", line_no + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "docs name crates that are not in the workspace: {unknown:?}"
+    );
+}
+
+/// Whole-word `taster-<name>` tokens in `line`, skipping those
+/// followed by `-` or `/`.
+fn crate_tokens(line: &str) -> Vec<&str> {
+    let ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let bytes = line.as_bytes();
+    let mut tokens = Vec::new();
+    for (start, _) in line.match_indices("taster-") {
+        if start > 0 && (ident(bytes[start - 1]) || bytes[start - 1] == b'-') {
+            continue;
+        }
+        let tail = start + "taster-".len();
+        let end = bytes[tail..]
+            .iter()
+            .position(|&b| !ident(b))
+            .map_or(bytes.len(), |n| tail + n);
+        if end == tail || matches!(bytes.get(end), Some(b'-' | b'/')) {
+            continue;
+        }
+        tokens.push(&line[start..end]);
+    }
+    tokens
 }
 
 // -------------------------------------------------- parallel identity

@@ -1,7 +1,7 @@
-//! Corpus export: capture one honeypot's traffic through the real
-//! SMTP path and write it out as an mbox file — the artifact format
-//! static spam corpora (Enron, TREC2005, CEAS2008; paper §2) ship in —
-//! then re-parse it and verify the round trip.
+//! Corpus export: render a sample of one honeypot's traffic and write
+//! it out as an mbox file — the artifact format static spam corpora
+//! (Enron, TREC2005, CEAS2008; paper §2) ship in — then re-parse it
+//! and verify the round trip.
 //!
 //! ```sh
 //! cargo run --release --example export_corpus [scale] [out.mbox]
@@ -15,9 +15,7 @@ use taster::ecosystem::campaign::TargetClass;
 use taster::ecosystem::{EcosystemConfig, GroundTruth};
 use taster::mailsim::mbox::{parse_mbox, write_mbox, MboxMessage};
 use taster::mailsim::render::render_spam;
-use taster::mailsim::{MailConfig, MailWorld};
 use taster::sim::RngStream;
-use taster_smtp::{deliver, HoneypotServer};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -29,42 +27,22 @@ fn main() {
 
     eprintln!("generating world at scale {scale}…");
     let truth = GroundTruth::generate(&EcosystemConfig::default().with_scale(scale), 77).unwrap();
-    let world =
-        MailWorld::build(truth, MailConfig::default().with_scale(scale)).unwrap_or_else(|e| {
-            eprintln!("invalid mail config: {e}");
-            std::process::exit(2);
-        });
 
-    // Run a fresh MX honeypot over the brute-force stream and keep the
-    // stored messages (the collectors drain them; a corpus exporter
-    // keeps them).
-    let mut rng = RngStream::new(world.truth.seed, "example/export-corpus");
-    let (mut server, _) = HoneypotServer::connect("mx.corpus-trap.example");
+    // Sample the brute-force stream an MX honeypot would take and keep
+    // each rendered message (the collectors only extract domains; a
+    // corpus exporter keeps the text).
+    let mut rng = RngStream::new(truth.seed, "example/export-corpus");
     let mut corpus: Vec<MboxMessage> = Vec::new();
-    for event in &world.truth.sorted_events() {
+    for event in &truth.sorted_events() {
         if event.target != TargetClass::BruteForce || !rng.random_bool(0.05) {
             continue;
         }
-        let msg = render_spam(
-            &world.truth,
-            event.advertised,
-            event.chaff,
-            event.time,
-            &mut rng,
-        );
-        deliver(
-            &mut server,
-            "cannon.example",
-            &msg.from,
-            &["trap@corpus-trap.example".to_string()],
-            &msg.text,
-        )
-        .expect("honeypot accepts everything");
-        let stored = server.drain_stored().pop().expect("stored");
+        let msg = render_spam(&truth, event.advertised, event.chaff, event.time, &mut rng);
         corpus.push(MboxMessage {
-            envelope_sender: stored.mail_from,
+            envelope_sender: msg.from,
             time: event.time,
-            text: stored.data,
+            // The mbox format's unit is the line: no trailing newline.
+            text: msg.text.trim_end_matches('\n').to_string(),
         });
     }
 
