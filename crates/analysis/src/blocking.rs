@@ -67,11 +67,15 @@ fn ratio(n: u64, d: u64) -> f64 {
     }
 }
 
-/// Evaluates a set of feeds in one streaming pass over the event
-/// replay. The spam counters are stateless per event, so a single
-/// generation-order pass scores every feed at once — the event stream
-/// is replayed exactly once however many feeds are under test.
-fn evaluate_feeds(world: &MailWorld, under_test: &[&Feed]) -> Vec<BlockingResult> {
+/// Evaluates every feed as a filter over the whole scenario, in one
+/// pass over the event log. The spam counters are stateless per event,
+/// so a single unordered pass scores every feed at once.
+pub fn blocking_study(
+    world: &MailWorld,
+    feeds: &FeedSet,
+    _classified: &Classified,
+) -> Vec<BlockingResult> {
+    let under_test: Vec<&Feed> = FeedId::ALL.iter().map(|&id| feeds.get(id)).collect();
     let blocked_at = |feed: &Feed, d: taster_domain::DomainId, t: taster_sim::SimTime| -> bool {
         feed.stats(d).is_some_and(|s| s.first_seen < t)
     };
@@ -81,7 +85,7 @@ fn evaluate_feeds(world: &MailWorld, under_test: &[&Feed]) -> Vec<BlockingResult
     // `u64::MAX` marks "never listed" — real first-seen times are
     // horizon-bounded seconds, far below the sentinel — and makes both
     // predicates branch-free: blocked ⇔ `first < t`, eventually ⇔
-    // `first != MAX`. The replay loop runs millions of events × every
+    // `first != MAX`. The tally loop runs millions of events × every
     // feed; hash lookups here used to dominate the whole study.
     let mut first_seen = vec![u64::MAX; world.truth.universe.len() * nf];
     for (k, feed) in under_test.iter().enumerate() {
@@ -108,27 +112,16 @@ fn evaluate_feeds(world: &MailWorld, under_test: &[&Feed]) -> Vec<BlockingResult
                 }
             }
         };
-        // The counters are order-free, so any full pass over the log
-        // works: the sorted cache when in core, the replay otherwise.
-        if let Some(cache) = world.truth.cache() {
-            use taster_ecosystem::buffer::NO_CHAFF;
-            for r in 0..cache.len() {
-                let chaff = cache.chaff[r];
+        // The counters are order-free, so the unordered reader serves.
+        world.truth.for_each_chunk(|buf, rows| {
+            for r in rows {
                 tally(
-                    cache.time[r].0,
-                    cache.advertised[r] as usize * nf,
-                    (chaff != NO_CHAFF).then(|| chaff as usize * nf),
+                    buf.time[r].0,
+                    buf.advertised[r] as usize * nf,
+                    buf.chaff(r).map(|c| c.index() * nf),
                 );
             }
-        } else {
-            for ev in world.truth.events() {
-                tally(
-                    ev.time.0,
-                    ev.advertised.index() * nf,
-                    ev.chaff.map(|c| c.index() * nf),
-                );
-            }
-        }
+        });
     }
 
     let mut ham_total = 0u64;
@@ -167,21 +160,6 @@ fn evaluate_feeds(world: &MailWorld, under_test: &[&Feed]) -> Vec<BlockingResult
             ham_blocked: ham_blocked[k],
         })
         .collect()
-}
-
-/// Evaluates one feed as a filter over the whole scenario.
-pub fn evaluate_feed(world: &MailWorld, feed: &Feed) -> BlockingResult {
-    evaluate_feeds(world, &[feed])[0]
-}
-
-/// Evaluates every feed in a single pass over the event stream.
-pub fn blocking_study(
-    world: &MailWorld,
-    feeds: &FeedSet,
-    _classified: &Classified,
-) -> Vec<BlockingResult> {
-    let all: Vec<&Feed> = FeedId::ALL.iter().map(|&id| feeds.get(id)).collect();
-    evaluate_feeds(world, &all)
 }
 
 #[cfg(test)]

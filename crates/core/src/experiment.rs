@@ -9,7 +9,6 @@ use taster_analysis::classify::Category;
 use taster_analysis::coverage::{
     coverage_table_par, exclusive_share_par, pairwise_overlap_par, CoverageRow,
 };
-use taster_analysis::degradation::{snapshot, RunSnapshot};
 use taster_analysis::granularity::{granularity_study, GranularityRow};
 use taster_analysis::matrix::OverlapCell;
 use taster_analysis::programs::program_coverage;
@@ -101,7 +100,11 @@ impl Experiment {
                 .add("generate/domains", world.truth.universe.len() as u64);
             obs.metrics.add(
                 "generate/cached_events",
-                world.truth.cache().map_or(0, |c| c.len() as u64),
+                if world.truth.in_core() {
+                    world.truth.log.len as u64
+                } else {
+                    0
+                },
             );
             Ok(world)
         })?;
@@ -160,17 +163,6 @@ impl Experiment {
             m.add("timing/feeds_examined", examined as u64);
             m.add("timing/series", series as u64);
         });
-    }
-
-    /// Freezes the degradation-relevant metrics of this run (the
-    /// clean-vs-faulted comparison input of `taster degradation`).
-    pub fn degradation_snapshot(&self) -> RunSnapshot {
-        snapshot(
-            &self.feeds,
-            &self.classified,
-            &self.world.provider.oracle,
-            &self.scenario.parallelism,
-        )
     }
 
     /// The plain-text report renderer.

@@ -27,10 +27,9 @@ use taster_analysis::timing::{
     duration_error_par, first_appearance_par, last_appearance_par, FIG9_FEEDS, HONEYPOT_FEEDS,
 };
 use taster_analysis::Classified;
-use taster_ecosystem::buffer::EventBuffer;
+use taster_ecosystem::EcosystemConfig;
 use taster_feeds::PipelineError;
 use taster_feeds::{try_collect_all_faulted, try_collect_all_observed};
-use taster_mailsim::provider::PROVIDER_BUCKET;
 use taster_mailsim::MailWorld;
 use taster_sim::metrics::{
     STAGE_BLACKLIST, STAGE_CLASSIFY, STAGE_COLLECT, STAGE_COVERAGE, STAGE_CRAWL, STAGE_GENERATE,
@@ -277,9 +276,8 @@ pub fn bench_stages(
     Ok(StageBench::from_registry(&obs, workers))
 }
 
-/// One scale point of the pipeline bench: the world's event count,
-/// the chunk size collection streamed at, a peak streaming-memory
-/// estimate, and the per-worker-count stage rows.
+/// One scale point of the pipeline bench: the world's event count, a
+/// peak event-memory estimate, and the per-worker-count stage rows.
 #[derive(Debug, Clone)]
 pub struct ScaleBench {
     /// Scale factor the scenario ran at.
@@ -288,10 +286,8 @@ pub struct ScaleBench {
     pub scenario_name: String,
     /// Ground-truth event count at this scale.
     pub events: u64,
-    /// Event-chunk rows per collection pass.
-    pub chunk_size: usize,
-    /// Peak bytes the streaming buffers can hold at once
-    /// ([`stream_peak_bytes`]).
+    /// Peak bytes the event readers hold under the run's memory budget
+    /// ([`EcosystemConfig::peak_event_bytes`]).
     pub stream_peak_bytes: u64,
     /// End-to-end wall accounting from one fully-observed run (zeros
     /// when the caller only benched stage rows).
@@ -305,20 +301,19 @@ pub struct ScaleBench {
 
 impl ScaleBench {
     /// Assembles one scale entry, deriving the memory estimate from
-    /// `(events, chunk_size)`.
+    /// `events` and `config`'s memory budget.
     pub fn new(
         scale: f64,
         scenario_name: &str,
         events: u64,
-        chunk_size: usize,
+        config: &EcosystemConfig,
         rows: Vec<StageBench>,
     ) -> ScaleBench {
         ScaleBench {
             scale,
             scenario_name: scenario_name.to_string(),
             events,
-            chunk_size,
-            stream_peak_bytes: stream_peak_bytes(events, chunk_size),
+            stream_peak_bytes: config.peak_event_bytes(events),
             end_to_end: None,
             replicate_secs: 0.0,
             rows,
@@ -337,13 +332,6 @@ impl ScaleBench {
         self
     }
 
-    /// Overrides the peak-memory estimate (out-of-core runs derive it
-    /// from the `--max-mem-bytes` budget instead of the chunk size).
-    pub fn with_stream_peak_bytes(mut self, bytes: u64) -> ScaleBench {
-        self.stream_peak_bytes = bytes;
-        self
-    }
-
     /// Best collect-stage throughput across the worker rows, events
     /// per second (the CI perf-smoke floor reads this).
     pub fn best_events_per_sec(&self) -> f64 {
@@ -352,37 +340,6 @@ impl ScaleBench {
             .map(|r| events_per_sec(self.events, r.collect))
             .fold(0.0, f64::max)
     }
-}
-
-/// Estimates peak bytes resident in the streaming event buffers: the
-/// larger of one collection chunk and one provider sorting bucket
-/// (struct-of-arrays rows), plus the always-resident `u32` rank
-/// permutation. Deliberately excludes the feeds themselves — their
-/// size depends on capture probabilities, not on the streaming core.
-pub fn stream_peak_bytes(events: u64, chunk_size: usize) -> u64 {
-    let row = EventBuffer::bytes_per_event() as u64;
-    let chunk_rows = (chunk_size as u64).min(events);
-    let bucket_rows = (PROVIDER_BUCKET as u64).min(events);
-    chunk_rows.max(bucket_rows) * row + 4 * events
-}
-
-/// Peak event-buffer bytes a run actually holds under `config`'s
-/// memory budget: the sorted-cache footprint when the log fits in
-/// core, otherwise [`stream_peak_bytes`] with both the collection
-/// chunk and the provider bucket clamped to the budget rows.
-pub fn budget_peak_bytes(
-    config: &taster_ecosystem::EcosystemConfig,
-    events: u64,
-    chunk_size: usize,
-) -> u64 {
-    if config.wants_cache(events) {
-        return taster_ecosystem::EcosystemConfig::cache_peak_bytes(events);
-    }
-    let row = EventBuffer::bytes_per_event() as u64;
-    let budget = config.budget_rows(events) as u64;
-    let chunk_rows = (chunk_size as u64).min(budget).min(events);
-    let bucket_rows = (PROVIDER_BUCKET as u64).min(budget).min(events);
-    chunk_rows.max(bucket_rows) * row + 4 * events
 }
 
 /// Collect-stage throughput in events per second (0 when the stage
@@ -396,7 +353,7 @@ pub fn events_per_sec(events: u64, collect_secs: f64) -> f64 {
 }
 
 /// Renders the `BENCH_pipeline.json` document: one entry per scale,
-/// each with its event count, chunk size, memory estimate, and
+/// each with its event count, memory estimate, and
 /// per-worker-count stage rows. Every canonical stage key
 /// ([`STAGE_KEYS`](taster_sim::metrics::STAGE_KEYS)) appears as a
 /// `<stage>_secs` field in each run row; speedups are relative to the
@@ -432,7 +389,6 @@ pub fn bench_json_string(seed: u64, reps: usize, scales: &[ScaleBench]) -> Strin
         let _ = writeln!(json, "      \"scenario\": \"{}\",", entry.scenario_name);
         let _ = writeln!(json, "      \"scale\": {},", entry.scale);
         let _ = writeln!(json, "      \"events\": {},", entry.events);
-        let _ = writeln!(json, "      \"chunk_size\": {},", entry.chunk_size);
         let _ = writeln!(
             json,
             "      \"stream_peak_bytes\": {},",
@@ -569,7 +525,7 @@ mod tests {
         let row = bench_stages(&world, &scenario, 2, 1).expect("bench runs");
         assert!(row.collect > 0.0 && row.classify > 0.0);
         let events = world.truth.log.len as u64;
-        let entry = ScaleBench::new(0.02, &scenario.name, events, 64, vec![row]);
+        let entry = ScaleBench::new(0.02, &scenario.name, events, &scenario.ecosystem, vec![row]);
         assert!(entry.best_events_per_sec() > 0.0);
         let json = bench_json_string(scenario.seed, 1, &[entry]);
         for stage in taster_sim::metrics::STAGE_KEYS {
@@ -582,48 +538,21 @@ mod tests {
         assert!(json.contains("\"events_per_sec\""));
         assert!(json.contains("\"scale\": 0.02"));
         assert!(json.contains(&format!("\"events\": {events}")));
-        assert!(json.contains("\"chunk_size\": 64"));
-        assert!(json.contains("\"stream_peak_bytes\""));
+        let peak = scenario.ecosystem.peak_event_bytes(events);
+        assert!(json.contains(&format!("\"stream_peak_bytes\": {peak}")));
         assert!(json.contains("\"replicate_secs\": 0.000000"));
-        let timed =
-            ScaleBench::new(0.02, &scenario.name, events, 64, Vec::new()).with_replicate_secs(1.25);
+        let timed = ScaleBench::new(
+            0.02,
+            &scenario.name,
+            events,
+            &scenario.ecosystem,
+            Vec::new(),
+        )
+        .with_replicate_secs(1.25);
         let json = bench_json_string(scenario.seed, 1, &[timed]);
         assert!(json.contains("\"replicate_secs\": 1.250000"));
-    }
-
-    #[test]
-    fn stream_peak_estimate_tracks_chunk_and_bucket() {
-        let row = EventBuffer::bytes_per_event() as u64;
-        // Tiny log: both buffers clamp to the event count.
-        assert_eq!(stream_peak_bytes(10, 1 << 20), 10 * row + 40);
-        // Paper-scale log: the provider bucket dominates a small chunk.
-        let events = 4_000_000u64;
-        let expect = (PROVIDER_BUCKET as u64) * row + 4 * events;
-        assert_eq!(stream_peak_bytes(events, 1024), expect);
-        // A chunk wider than the bucket dominates instead, clamped to
-        // the log length.
-        let wide = 1 << 22;
-        assert_eq!(stream_peak_bytes(events, wide), events * row + 4 * events);
         assert_eq!(events_per_sec(100, 0.0), 0.0);
         assert!((events_per_sec(100, 2.0) - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn budget_peak_respects_cache_and_budget() {
-        use taster_ecosystem::EcosystemConfig;
-        let mut config = EcosystemConfig::default();
-        let events = 4_000_000u64;
-        // Default budget caches the whole log.
-        assert_eq!(
-            budget_peak_bytes(&config, events, 65_536),
-            EcosystemConfig::cache_peak_bytes(events)
-        );
-        // A tight budget streams, and the estimate obeys it.
-        let budget = 64u64 << 20;
-        config.max_mem_bytes = Some(budget);
-        let peak = budget_peak_bytes(&config, events, 65_536);
-        assert!(peak <= budget, "peak {peak} over budget {budget}");
-        assert!(peak < EcosystemConfig::cache_peak_bytes(events));
     }
 
     #[test]

@@ -47,7 +47,8 @@ fn measure(world: &MailWorld, feed: &Feed, label: String) -> SweepPoint {
 /// only when the scenario is invalid.
 pub fn build_world(scenario: &Scenario) -> Result<MailWorld, String> {
     scenario.validate()?;
-    let truth = GroundTruth::generate(&scenario.ecosystem, scenario.seed)?;
+    let truth =
+        GroundTruth::generate(&scenario.ecosystem, scenario.seed).map_err(|e| e.to_string())?;
     MailWorld::build(truth, scenario.mail.clone())
 }
 

@@ -6,6 +6,8 @@
 //! the paper's feeds total >1 B messages over the same period; the
 //! analyses only depend on relative structure).
 
+use crate::buffer::EventBuffer;
+
 /// Parameters of a bounded-Pareto volume law.
 #[derive(Debug, Clone, Copy)]
 pub struct VolumeLaw {
@@ -206,9 +208,10 @@ pub struct EcosystemConfig {
     /// Peak bytes the streaming event core may hold resident at once
     /// (`--max-mem-bytes`). `None` uses [`DEFAULT_MEM_BUDGET`]. The
     /// budget decides whether the sorted event cache is built and, when
-    /// it is not, how many rows the streaming chunk/bucket buffers may
-    /// hold. It never changes any output byte — cached and streaming
-    /// runs replay the exact same draw sequence.
+    /// it is not, how many rows the streaming bucket/chunk buffers may
+    /// hold; below [`EcosystemConfig::budget_floor`] generation fails.
+    /// It never changes any output byte — cached and streaming runs
+    /// replay the exact same draw sequence.
     pub max_mem_bytes: Option<u64>,
 }
 
@@ -216,6 +219,17 @@ pub struct EcosystemConfig {
 /// reference container while letting paper scale (≈4 M events) keep
 /// the sorted event cache resident.
 pub const DEFAULT_MEM_BUDGET: u64 = 1 << 30;
+
+/// Widest time-sorted bucket of an out-of-core sorted pass. Each
+/// bucket costs one full generation replay, so the width trades
+/// replays against resident bytes: 2^21 rows is ~59 MB and two
+/// replays at paper scale.
+pub(crate) const SORTED_BUCKET_ROWS: usize = 1 << 21;
+
+/// Widest chunk of an out-of-core unordered pass: large enough to
+/// amortise per-chunk setup, small enough that the buffer stays
+/// cache-friendly. The pass replays once whatever the width.
+pub(crate) const CHUNK_ROWS: usize = 65_536;
 
 impl Default for EcosystemConfig {
     fn default() -> Self {
@@ -377,7 +391,7 @@ impl EcosystemConfig {
     /// 8-byte time column, transient during the column-wise re-sort)
     /// and the rank permutation.
     pub fn cache_peak_bytes(events: u64) -> u64 {
-        events * (crate::buffer::EventBuffer::bytes_per_event() as u64 + 8 + 4)
+        events * (EventBuffer::bytes_per_event() as u64 + 8 + 4)
     }
 
     /// Whether a log of `events` rows should keep the sorted event
@@ -386,14 +400,32 @@ impl EcosystemConfig {
         Self::cache_peak_bytes(events) <= self.mem_budget()
     }
 
-    /// Rows the streaming chunk/bucket buffers may hold under this
-    /// budget once the always-resident rank permutation (4 bytes per
-    /// event) is paid for. At least 1 — a starved budget degrades to
-    /// row-at-a-time streaming rather than failing.
-    pub fn budget_rows(&self, events: u64) -> usize {
+    /// The smallest budget a log of `events` rows accepts: the
+    /// always-resident rank permutation (4 bytes per event) plus one
+    /// streaming row. [`crate::GroundTruth::generate`] rejects anything
+    /// below it.
+    pub fn budget_floor(events: u64) -> u64 {
+        4 * events + EventBuffer::bytes_per_event() as u64
+    }
+
+    /// Rows the streaming bucket/chunk buffers may hold under this
+    /// budget once the rank permutation is paid for. At least 1 for
+    /// any budget at or above [`Self::budget_floor`].
+    pub(crate) fn budget_rows(&self, events: u64) -> usize {
         let avail = self.mem_budget().saturating_sub(4 * events);
-        let rows = avail / crate::buffer::EventBuffer::bytes_per_event() as u64;
-        rows.clamp(1, events.max(1)) as usize
+        (avail / EventBuffer::bytes_per_event() as u64).min(events) as usize
+    }
+
+    /// Peak bytes the event readers hold for a log of `events` rows:
+    /// the sorted-cache footprint in core, otherwise the widest
+    /// streaming buffer (a sorted bucket, which is never narrower than
+    /// a chunk) plus the rank permutation.
+    pub fn peak_event_bytes(&self, events: u64) -> u64 {
+        if self.wants_cache(events) {
+            return Self::cache_peak_bytes(events);
+        }
+        let rows = self.budget_rows(events).min(SORTED_BUCKET_ROWS) as u64;
+        rows * EventBuffer::bytes_per_event() as u64 + 4 * events
     }
 }
 
@@ -436,6 +468,30 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn peak_event_bytes_respects_cache_and_budget() {
+        let mut config = EcosystemConfig::default();
+        let events = 4_000_000u64;
+        // Default budget caches the whole log.
+        assert_eq!(
+            config.peak_event_bytes(events),
+            EcosystemConfig::cache_peak_bytes(events)
+        );
+        // A tight budget streams, and the estimate obeys it.
+        let budget = 64u64 << 20;
+        config.max_mem_bytes = Some(budget);
+        let peak = config.peak_event_bytes(events);
+        assert!(peak <= budget, "peak {peak} over budget {budget}");
+        assert!(peak < EcosystemConfig::cache_peak_bytes(events));
+        // At the floor exactly one row fits beside the permutation.
+        config.max_mem_bytes = Some(EcosystemConfig::budget_floor(events));
+        assert_eq!(config.budget_rows(events), 1);
+        assert_eq!(
+            config.peak_event_bytes(events),
+            EcosystemConfig::budget_floor(events)
+        );
     }
 
     #[test]

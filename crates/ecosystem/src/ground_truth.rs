@@ -6,25 +6,71 @@
 //! generation stage draws from its own named RNG stream, so the ground
 //! truth is bit-stable regardless of what the observation layers do.
 //!
-//! The event log itself is *not* stored: the first pass keeps only the
-//! per-event times, reduced to [`EventLog`] — the log length, the
-//! generation-order → time-sorted-order permutation (`rank`) and the
-//! poison replay anchor. Consumers re-derive the events on demand via
-//! [`GroundTruth::events`], which replays the exact generation draws
-//! in O(1) memory.
+//! The first pass reduces the event log to [`EventLog`] — the log
+//! length, the generation-order → time-sorted-order permutation
+//! (`rank`) and the poison replay anchor — and, when the memory budget
+//! allows, a time-sorted cache of every event. Consumers read events
+//! through one of two readers, which hide whether the cache exists:
+//!
+//! * [`GroundTruth::for_each_sorted`] visits rows in time-sorted order
+//!   (the provider's filter feedback, serve's ingest);
+//! * [`GroundTruth::for_each_chunk`] visits every row once in any
+//!   order (feed collection, the blocking study).
+//!
+//! Out of core both re-derive events from [`GroundTruth::events`],
+//! which replays the exact generation draws in O(1) memory.
 
 use crate::botnet::{generate_botnets, Botnet};
 use crate::buffer::EventBuffer;
 use crate::campaign::{plan_campaigns, Campaign, CampaignStyle, DeliveryVector, TargetingMix};
-use crate::config::{EcosystemConfig, TargetMixConfig};
+use crate::config::{EcosystemConfig, TargetMixConfig, CHUNK_ROWS, SORTED_BUCKET_ROWS};
 use crate::domains::{DomainKind, DomainUniverse};
 use crate::event::{
     campaign_event_count, stream_campaign_events, stream_poison_events, EventStream, SpamEvent,
 };
 use crate::ids::{CampaignId, ProgramId};
 use crate::program::ProgramRoster;
+use std::fmt;
+use std::ops::Range;
 use taster_domain::DomainId;
 use taster_sim::{RngStream, SimTime, TimeWindow};
+
+/// Why [`GroundTruth::generate`] refused to build a world.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GenerateError {
+    /// The configuration failed [`EcosystemConfig::validate`].
+    InvalidConfig(String),
+    /// The memory budget is below [`EcosystemConfig::budget_floor`]:
+    /// it cannot hold the rank permutation plus one streaming row.
+    BudgetBelowFloor {
+        /// The configured budget in bytes.
+        budget: u64,
+        /// The smallest budget this world accepts, in bytes.
+        floor: u64,
+        /// Events in the log.
+        events: u64,
+    },
+}
+
+impl fmt::Display for GenerateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GenerateError::InvalidConfig(msg) => f.write_str(msg),
+            GenerateError::BudgetBelowFloor {
+                budget,
+                floor,
+                events,
+            } => write!(
+                f,
+                "memory budget of {budget} bytes is below the floor of {floor} bytes \
+                 for {events} events (4 bytes per event plus one {}-byte row)",
+                EventBuffer::bytes_per_event()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GenerateError {}
 
 /// Compact spine of the event stream. The full log is never held;
 /// this is everything needed to replay it and to address events by
@@ -66,17 +112,19 @@ pub struct GroundTruth {
     pub webspam: Vec<(SimTime, DomainId)>,
     /// Time-sorted event columns, kept when the memory budget
     /// ([`EcosystemConfig::max_mem_bytes`]) covers the whole log.
-    /// `None` means out-of-core: consumers replay [`Self::events`]
+    /// `None` means out of core: the readers replay [`Self::events`]
     /// instead. Row `r` holds the event at time-sorted position `r`
     /// (`sorted_idx[r] == r`), so cache iteration is draw-for-draw
     /// identical to a replay scattered through `log.rank`.
-    pub sorted_cache: Option<EventBuffer>,
+    sorted_cache: Option<EventBuffer>,
 }
 
 impl GroundTruth {
-    /// Generates the world. Deterministic in `(config, seed)`.
-    pub fn generate(config: &EcosystemConfig, seed: u64) -> Result<GroundTruth, String> {
-        config.validate()?;
+    /// Generates the world. Deterministic in `(config, seed)`. Fails
+    /// on an invalid configuration, and before the first event draw
+    /// when the memory budget is below the floor for this log.
+    pub fn generate(config: &EcosystemConfig, seed: u64) -> Result<GroundTruth, GenerateError> {
+        config.validate().map_err(GenerateError::InvalidConfig)?;
         let mut roster_rng = RngStream::new(seed, "ecosystem/roster");
         let roster = ProgramRoster::generate(config, &mut roster_rng);
 
@@ -94,7 +142,8 @@ impl GroundTruth {
         // `plan_copies` is a pure function of the plan, and the poison
         // pseudo-campaign emits exactly its configured volume. That
         // lets the memory budget decide *up front* whether the sorted
-        // event cache fits, instead of guessing and re-allocating.
+        // event cache fits, instead of guessing and re-allocating, and
+        // whether it can stream the log at all.
         let poison_active = config.poison.is_some() && botnets.iter().any(|b| b.poisons);
         let expected: u64 = campaigns
             .iter()
@@ -105,6 +154,14 @@ impl GroundTruth {
             } else {
                 0
             };
+        let floor = EcosystemConfig::budget_floor(expected);
+        if config.mem_budget() < floor {
+            return Err(GenerateError::BudgetBelowFloor {
+                budget: config.mem_budget(),
+                floor,
+                events: expected,
+            });
+        }
         let build_cache = config.wants_cache(expected);
 
         // First pass: run the full generation draws. Within budget we
@@ -269,9 +326,79 @@ impl GroundTruth {
         })
     }
 
-    /// The sorted event cache, when the memory budget allowed one.
-    pub fn cache(&self) -> Option<&EventBuffer> {
-        self.sorted_cache.as_ref()
+    /// Whether the memory budget kept the sorted event cache resident.
+    pub fn in_core(&self) -> bool {
+        self.sorted_cache.is_some()
+    }
+
+    /// Visits the time-sorted rows `rows` in order: each call hands `f`
+    /// a buffer and the range of its rows to read, and each call picks
+    /// up where the previous one stopped. Every row carries its
+    /// time-sorted position in `sorted_idx`.
+    ///
+    /// In core this is one call over the cache. Out of core each call
+    /// is one bucket of at most `min(budget rows, 2^21)` rows, rebuilt
+    /// by one generation replay scattered through `log.rank`.
+    pub fn for_each_sorted<F: FnMut(&EventBuffer, Range<usize>)>(
+        &self,
+        rows: Range<usize>,
+        mut f: F,
+    ) {
+        debug_assert!(rows.end <= self.log.len, "rows past the end of the log");
+        if let Some(cache) = &self.sorted_cache {
+            f(cache, rows);
+            return;
+        }
+        let width = self
+            .config
+            .budget_rows(self.log.len as u64)
+            .min(SORTED_BUCKET_ROWS);
+        let mut bucket = EventBuffer::default();
+        let mut lo = rows.start;
+        while lo < rows.end {
+            let hi = (lo + width).min(rows.end);
+            bucket.reset_for_scatter(hi - lo);
+            let mut missing = hi - lo;
+            for (g, event) in self.events().enumerate() {
+                let r = self.log.rank[g] as usize;
+                if (lo..hi).contains(&r) {
+                    bucket.set(r - lo, &event, r as u32);
+                    missing -= 1;
+                    if missing == 0 {
+                        break;
+                    }
+                }
+            }
+            // `rank` is a permutation of 0..n, so every slot is filled.
+            debug_assert_eq!(missing, 0, "hole in sorted-event bucket");
+            f(&bucket, 0..hi - lo);
+            lo = hi;
+        }
+    }
+
+    /// Visits every row exactly once, in no guaranteed order; each row
+    /// carries its time-sorted position in `sorted_idx`.
+    ///
+    /// In core this is one call over the cache. Out of core it is one
+    /// generation-order replay, handed over in chunks of at most
+    /// `min(budget rows, 65 536)` rows.
+    pub fn for_each_chunk<F: FnMut(&EventBuffer, Range<usize>)>(&self, mut f: F) {
+        if let Some(cache) = &self.sorted_cache {
+            f(cache, 0..cache.len());
+            return;
+        }
+        let width = self.config.budget_rows(self.log.len as u64).min(CHUNK_ROWS);
+        let mut chunk = EventBuffer::with_capacity(width);
+        for (g, event) in self.events().enumerate() {
+            chunk.push(&event, self.log.rank[g]);
+            if chunk.len() == width {
+                f(&chunk, 0..width);
+                chunk.clear();
+            }
+        }
+        if !chunk.is_empty() {
+            f(&chunk, 0..chunk.len());
+        }
     }
 
     /// Replays the event stream in *generation* order. Event `g` of
@@ -426,22 +553,81 @@ mod tests {
     #[test]
     fn sorted_cache_matches_replay_and_respects_budget() {
         let g = world(0.02, 7);
-        let cache = g.cache().expect("default budget caches small worlds");
+        let cache = g
+            .sorted_cache
+            .as_ref()
+            .expect("default budget caches small worlds");
         let sorted = g.sorted_events();
         assert_eq!(cache.len(), sorted.len());
         for (r, e) in sorted.iter().enumerate() {
             assert_eq!(cache.event(r), *e, "row {r}");
             assert_eq!(cache.sorted_idx[r], r as u32);
         }
-        // A budget too small for the log must fall back to replay mode
-        // with a bit-identical spine.
+        // A budget too small for the cache but above the floor must
+        // fall back to replay mode with a bit-identical spine.
+        let n = g.log.len as u64;
+        let floor = EcosystemConfig::budget_floor(n);
         let mut tight = EcosystemConfig::default().with_scale(0.02);
-        tight.max_mem_bytes = Some(1024);
+        tight.max_mem_bytes = Some(floor + 64 * EventBuffer::bytes_per_event() as u64);
         let t = GroundTruth::generate(&tight, 7).unwrap();
-        assert!(t.cache().is_none(), "tight budget streams out of core");
+        assert!(!t.in_core(), "tight budget streams out of core");
         assert_eq!(t.log.len, g.log.len);
         assert_eq!(t.log.rank, g.log.rank);
         assert!(t.events().eq(g.events()));
+        // The floor itself is accepted; one byte under it, or a budget
+        // that cannot even hold the rank permutation, fails up front.
+        tight.max_mem_bytes = Some(floor);
+        assert!(GroundTruth::generate(&tight, 7).is_ok());
+        for budget in [floor - 1, 1024] {
+            tight.max_mem_bytes = Some(budget);
+            let err = GroundTruth::generate(&tight, 7).unwrap_err();
+            assert_eq!(
+                err,
+                GenerateError::BudgetBelowFloor {
+                    budget,
+                    floor,
+                    events: n
+                }
+            );
+            assert!(err.to_string().contains(&format!("floor of {floor} bytes")));
+        }
+    }
+
+    #[test]
+    fn readers_agree_in_and_out_of_core() {
+        let g = world(0.02, 7);
+        let sorted = g.sorted_events();
+        let n = g.log.len;
+        let mut tight = g.config.clone();
+        tight.max_mem_bytes = Some(
+            EcosystemConfig::budget_floor(n as u64) + 4096 * EventBuffer::bytes_per_event() as u64,
+        );
+        let t = GroundTruth::generate(&tight, 7).unwrap();
+        assert!(g.in_core() && !t.in_core());
+        for truth in [&g, &t] {
+            // A ragged slice arrives in sorted order, bucket after bucket.
+            let (lo, hi) = (n / 3, n - 5);
+            let mut next = lo;
+            truth.for_each_sorted(lo..hi, |buf, rows| {
+                for r in rows {
+                    assert_eq!(buf.sorted_idx[r] as usize, next);
+                    assert_eq!(buf.event(r), sorted[next]);
+                    next += 1;
+                }
+            });
+            assert_eq!(next, hi);
+            // The unordered reader visits every row exactly once.
+            let mut seen = vec![false; n];
+            truth.for_each_chunk(|buf, rows| {
+                for r in rows {
+                    let i = buf.sorted_idx[r] as usize;
+                    assert!(!seen[i], "row {i} visited twice");
+                    seen[i] = true;
+                    assert_eq!(buf.event(r), sorted[i]);
+                }
+            });
+            assert!(seen.iter().all(|&s| s));
+        }
     }
 
     #[test]

@@ -48,5 +48,5 @@ pub mod ids;
 pub mod program;
 
 pub use config::EcosystemConfig;
-pub use ground_truth::GroundTruth;
+pub use ground_truth::{GenerateError, GroundTruth};
 pub use ids::{AffiliateId, BotnetId, CampaignId, ProgramId, Vertical};

@@ -6,7 +6,7 @@
 //! Ac2 sits on a narrow vector set, which is what makes it the outlier
 //! of the proportionality analysis (Figs 7–8).
 
-use crate::config::{AcConfig, DEFAULT_CHUNK_SIZE};
+use crate::config::AcConfig;
 use crate::engine::{collect_content, MemberSpec};
 use crate::feed::Feed;
 use taster_mailsim::MailWorld;
@@ -29,7 +29,6 @@ pub fn collect_ac(world: &MailWorld, config: &AcConfig, index: u8) -> Feed {
         &FaultPlan::off(world.truth.seed),
         &Parallelism::serial(),
         &Obs::off(),
-        DEFAULT_CHUNK_SIZE,
     )
     .pop()
     // lint:allow(no-panic) -- the engine yields exactly one feed per member; losing it must fail loudly rather than fabricate an empty feed

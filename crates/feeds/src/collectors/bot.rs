@@ -6,7 +6,7 @@
 //! every campaign of the unmonitored botnets. During the poisoning
 //! window the stream is dominated by random non-domains (§4.1.1).
 
-use crate::config::{BotConfig, DEFAULT_CHUNK_SIZE};
+use crate::config::BotConfig;
 use crate::engine::{collect_content, MemberSpec};
 use crate::feed::Feed;
 use taster_mailsim::MailWorld;
@@ -25,7 +25,6 @@ pub fn collect_bot(world: &MailWorld, config: &BotConfig) -> Feed {
         &FaultPlan::off(world.truth.seed),
         &Parallelism::serial(),
         &Obs::off(),
-        DEFAULT_CHUNK_SIZE,
     )
     .pop()
     // lint:allow(no-panic) -- the engine yields exactly one feed per member; losing it must fail loudly rather than fabricate an empty feed

@@ -9,7 +9,7 @@
 //! volume (the paper's hypothesis in §4.2.2: "one possibility is that
 //! this feed contains spam domains not derived from e-mail spam").
 
-use crate::config::{HybConfig, DEFAULT_CHUNK_SIZE};
+use crate::config::HybConfig;
 use crate::engine::{collect_content, MemberSpec};
 use crate::feed::Feed;
 use taster_mailsim::MailWorld;
@@ -29,7 +29,6 @@ pub fn collect_hyb(world: &MailWorld, config: &HybConfig) -> Feed {
         &FaultPlan::off(world.truth.seed),
         &Parallelism::serial(),
         &Obs::off(),
-        DEFAULT_CHUNK_SIZE,
     )
     .pop()
     // lint:allow(no-panic) -- the engine yields exactly one feed per member; losing it must fail loudly rather than fabricate an empty feed

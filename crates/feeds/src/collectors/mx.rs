@@ -12,7 +12,7 @@
 //! so domains are recovered exactly as a real MX sink recovers them.
 //! It also receives the doppelganger/sign-up pollution stream.
 
-use crate::config::{MxConfig, DEFAULT_CHUNK_SIZE};
+use crate::config::MxConfig;
 use crate::engine::{collect_content, MemberSpec};
 use crate::feed::Feed;
 use taster_mailsim::MailWorld;
@@ -35,7 +35,6 @@ pub fn collect_mx(world: &MailWorld, config: &MxConfig, index: u8) -> Feed {
         &FaultPlan::off(world.truth.seed),
         &Parallelism::serial(),
         &Obs::off(),
-        DEFAULT_CHUNK_SIZE,
     )
     .pop()
     // lint:allow(no-panic) -- the engine yields exactly one feed per member; losing it must fail loudly rather than fabricate an empty feed

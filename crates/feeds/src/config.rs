@@ -92,17 +92,7 @@ pub struct FeedsConfig {
     pub dbl: BlacklistConfig,
     /// The trap-driven URI blacklist (uribl).
     pub uribl: BlacklistConfig,
-    /// Events per streaming chunk in the fused content pass. Peak
-    /// memory of the collect stage is O(chunk_size); the output is
-    /// byte-identical at every value ≥ 1 because all per-event RNG and
-    /// fault streams are keyed by the event's time-sorted index, never
-    /// by chunk or shard position.
-    pub chunk_size: usize,
 }
-
-/// Default streaming chunk: large enough to amortise per-chunk setup,
-/// small enough that the SoA buffer stays cache- and RSS-friendly.
-pub const DEFAULT_CHUNK_SIZE: usize = 65_536;
 
 impl Default for FeedsConfig {
     fn default() -> Self {
@@ -150,7 +140,6 @@ impl Default for FeedsConfig {
                 delay_mean_days: 0.6,
                 anchor: ListingAnchor::BlastStart,
             },
-            chunk_size: DEFAULT_CHUNK_SIZE,
         }
     }
 }
@@ -186,9 +175,6 @@ impl FeedsConfig {
             if b.delay_mean_days <= 0.0 {
                 return Err("blacklist delay must be positive".into());
             }
-        }
-        if self.chunk_size == 0 {
-            return Err("chunk_size must be at least 1".into());
         }
         if probs.iter().any(|p| !(0.0..=1.0).contains(p)) {
             return Err("probability out of [0,1]".into());

@@ -9,19 +9,19 @@
 //!
 //! This engine makes the work streaming, shardable and shareable:
 //!
-//! * **Chunked streaming over the replay stream.** The event log is
-//!   never materialised: the generator's replay stream fills one
-//!   struct-of-arrays [`EventBuffer`] per chunk and the collectors
-//!   consume it in place — peak memory is O(chunk), independent of the
-//!   run length.
+//! * **One unordered pass over the event log.** The collectors read
+//!   it through [`taster_ecosystem::GroundTruth::for_each_chunk`]: one
+//!   struct-of-arrays [`EventBuffer`] holding the whole sorted cache in
+//!   core, or one budget-sized chunk at a time of the generation replay
+//!   out of core. They consume each buffer in place.
 //! * **Per-event RNG streams keyed by sorted index.** Each member's
 //!   capture decision for the event at time-sorted position *i* draws
 //!   from a stream derived from `(seed, member name, i)` — a pure
 //!   function of the event, not of how many draws earlier events
 //!   consumed, which chunk the event landed in, or how the chunk was
 //!   sharded. Feeds stay mutually independent, and the output is
-//!   *bit-identical at any chunk size and worker count*.
-//! * **Shard-and-merge parallelism.** Each chunk is split into one
+//!   *bit-identical at any memory budget and worker count*.
+//! * **Shard-and-merge parallelism.** Each buffer is split into one
 //!   contiguous row range per worker and merged with [`Feed::merge`],
 //!   which is commutative and associative.
 //! * **Render-free fast path.** A rendered body only ever contributes
@@ -188,78 +188,40 @@ pub(crate) fn compute_fast_ok(world: &MailWorld) -> Vec<bool> {
         .collect()
 }
 
-/// Runs `members` over the streamed event log in chunks of
-/// `chunk_size`, sharded across `par`'s workers within each chunk,
-/// then applies each member's non-event sources (benign pollution,
-/// Hyb's report sample and web-spam corpus).
+/// Runs `members` over every event row, each buffer the reader hands
+/// over sharded across `par`'s workers, then applies each member's
+/// non-event sources (benign pollution, Hyb's report sample and
+/// web-spam corpus).
 ///
 /// Fault decisions come from `plan`, each keyed by
 /// `(seed, feed label, sorted event index)` — a pure function of the
 /// event, never of chunk or shard boundaries — so faulted runs stay
-/// bit-identical at any chunk size and worker count, and an off plan
-/// leaves the output untouched.
+/// bit-identical at any memory budget and worker count, and an off
+/// plan leaves the output untouched.
 pub(crate) fn collect_content(
     world: &MailWorld,
     members: &[MemberSpec],
     plan: &FaultPlan,
     par: &Parallelism,
     obs: &Obs,
-    chunk_size: usize,
 ) -> Vec<Feed> {
-    let chunk_size = chunk_size.max(1);
     let metrics_on = obs.metrics.is_on();
-    let truth = &world.truth;
     let ctx = RunCtx::build(world, members, plan, compute_fast_ok(world));
 
     let mut merged: Vec<Feed> = members.iter().map(MemberSpec::empty_feed).collect();
     let mut metric_shards: Vec<MetricsShard> = Vec::new();
-    if let Some(cache) = truth.cache() {
-        // In-core: the sorted cache already holds every column keyed
-        // by sorted index, so the whole log shards in one pass — no
-        // replay, no per-chunk scatter. Shard boundaries cannot change
-        // any output: every per-event stream is keyed by `sorted_idx`
-        // and [`Feed::merge`] is commutative.
-        let shards = shard_ranges(cache.len(), par.workers());
-        let results = par.par_map(shards, |range| run_rows(&ctx, cache, range, metrics_on));
+    world.truth.for_each_chunk(|buf, rows| {
+        let shards = shard_ranges(rows, par.workers());
+        let results = par.par_map(shards, |range| run_rows(&ctx, buf, range, metrics_on));
         for (shard, shard_metrics) in results {
             for (acc, piece) in merged.iter_mut().zip(shard) {
                 acc.merge(piece);
             }
             metric_shards.push(shard_metrics);
         }
-    } else {
-        // Out of core: stream the replay in chunks. The chunk width
-        // obeys the memory budget on top of the configured size.
-        let chunk_size = chunk_size.min(truth.config.budget_rows(truth.log.len as u64));
-        let rank = &truth.log.rank;
-        let mut buf = EventBuffer::with_capacity(chunk_size.min(truth.log.len.max(1)));
-        let mut stream = truth.events().enumerate();
-        let mut first = true;
-        loop {
-            buf.clear();
-            for (g, ev) in stream.by_ref().take(chunk_size) {
-                buf.push(&ev, rank[g]);
-            }
-            if buf.is_empty() && !first {
-                break;
-            }
-            first = false;
-            let shards = shard_ranges(buf.len(), par.workers());
-            let results = par.par_map(shards, |range| run_rows(&ctx, &buf, range, metrics_on));
-            for (shard, shard_metrics) in results {
-                for (acc, piece) in merged.iter_mut().zip(shard) {
-                    acc.merge(piece);
-                }
-                metric_shards.push(shard_metrics);
-            }
-            if buf.len() < chunk_size {
-                break;
-            }
-        }
-    }
-    // Chunks stream in generation order and shards split each chunk in
-    // row order; their metric totals are commutative sums, absorbed in
-    // that same (chunk, shard) order.
+    });
+    // Shards split each buffer in row order; their metric totals are
+    // commutative sums, absorbed in that same (buffer, shard) order.
     obs.metrics.absorb_in_order(&metric_shards);
     for (feed, member) in merged.iter_mut().zip(members) {
         finalize(world, feed, member, plan, obs);
@@ -339,14 +301,15 @@ impl ShardObs {
     }
 }
 
-/// Splits `0..n` into up to `parts` contiguous ranges of near-equal
+/// Splits `rows` into up to `parts` contiguous ranges of near-equal
 /// size. The split only affects scheduling: shard outputs merge to the
 /// same feeds wherever the boundaries fall.
-pub(crate) fn shard_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+pub(crate) fn shard_ranges(rows: Range<usize>, parts: usize) -> Vec<Range<usize>> {
+    let n = rows.len();
     let parts = parts.clamp(1, n.max(1));
     let base = n / parts;
     let extra = n % parts;
-    let mut start = 0;
+    let mut start = rows.start;
     (0..parts)
         .map(|i| {
             let len = base + usize::from(i < extra);
@@ -767,13 +730,18 @@ fn finalize(world: &MailWorld, feed: &mut Feed, member: &MemberSpec, plan: &Faul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FeedsConfig, DEFAULT_CHUNK_SIZE};
+    use crate::config::FeedsConfig;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_mailsim::MailConfig;
 
     fn world() -> MailWorld {
-        let truth =
-            GroundTruth::generate(&EcosystemConfig::default().with_scale(0.02), 71).unwrap();
+        world_under(None)
+    }
+
+    fn world_under(max_mem_bytes: Option<u64>) -> MailWorld {
+        let mut config = EcosystemConfig::default().with_scale(0.02);
+        config.max_mem_bytes = max_mem_bytes;
+        let truth = GroundTruth::generate(&config, 71).unwrap();
         MailWorld::build(truth, MailConfig::default().with_scale(0.02)).unwrap()
     }
 
@@ -820,14 +788,7 @@ mod tests {
         let cfg = FeedsConfig::default();
         let members = all_members(&cfg);
         let plan = FaultPlan::off(w.truth.seed);
-        let serial = collect_content(
-            &w,
-            &members,
-            &plan,
-            &Parallelism::serial(),
-            &Obs::off(),
-            DEFAULT_CHUNK_SIZE,
-        );
+        let serial = collect_content(&w, &members, &plan, &Parallelism::serial(), &Obs::off());
         for workers in [2, 5, 8] {
             let parallel = collect_content(
                 &w,
@@ -835,7 +796,6 @@ mod tests {
                 &plan,
                 &Parallelism::fixed(workers),
                 &Obs::off(),
-                DEFAULT_CHUNK_SIZE,
             );
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_feeds_equal(a, b);
@@ -844,31 +804,26 @@ mod tests {
     }
 
     #[test]
-    fn chunk_size_does_not_change_the_feeds() {
+    fn memory_budget_does_not_change_the_feeds() {
+        use taster_sim::FaultProfile;
         let w = world();
         let cfg = FeedsConfig::default();
         let members = all_members(&cfg);
-        let plan = FaultPlan::off(w.truth.seed);
-        let whole = collect_content(
-            &w,
-            &members,
-            &plan,
-            &Parallelism::serial(),
-            &Obs::off(),
-            usize::MAX,
-        );
-        for chunk in [1, 7, 64, 4096] {
-            for workers in [1, 3] {
-                let chunked = collect_content(
-                    &w,
-                    &members,
-                    &plan,
-                    &Parallelism::fixed(workers),
-                    &Obs::off(),
-                    chunk,
-                );
-                for (a, b) in whole.iter().zip(&chunked) {
-                    assert_feeds_equal(a, b);
+        let n = w.truth.log.len as u64;
+        let row = EventBuffer::bytes_per_event() as u64;
+        for profile in [FaultProfile::off(), FaultProfile::lossy_feeds()] {
+            let plan = FaultPlan::new(profile, w.truth.seed);
+            let whole = collect_content(&w, &members, &plan, &Parallelism::serial(), &Obs::off());
+            // The rank permutation plus `k` rows: out of core, `k`-row chunks.
+            for k in [64, 4096] {
+                let streamed = world_under(Some(4 * n + k * row));
+                assert!(!streamed.truth.in_core());
+                for workers in [1, 2, 8] {
+                    let par = Parallelism::fixed(workers);
+                    let chunked = collect_content(&streamed, &members, &plan, &par, &Obs::off());
+                    for (a, b) in whole.iter().zip(&chunked) {
+                        assert_feeds_equal(a, b);
+                    }
                 }
             }
         }
@@ -882,14 +837,7 @@ mod tests {
         let cfg = FeedsConfig::default();
         let members = all_members(&cfg);
         let plan = FaultPlan::off(w.truth.seed);
-        let full = collect_content(
-            &w,
-            &members,
-            &plan,
-            &Parallelism::serial(),
-            &Obs::off(),
-            DEFAULT_CHUNK_SIZE,
-        );
+        let full = collect_content(&w, &members, &plan, &Parallelism::serial(), &Obs::off());
         for (i, member) in members.iter().enumerate() {
             let solo = collect_content(
                 &w,
@@ -897,7 +845,6 @@ mod tests {
                 &plan,
                 &Parallelism::fixed(3),
                 &Obs::off(),
-                DEFAULT_CHUNK_SIZE,
             );
             assert_feeds_equal(&full[i], &solo[0]);
         }
@@ -910,22 +857,14 @@ mod tests {
         let cfg = FeedsConfig::default();
         let members = all_members(&cfg);
         let plan = FaultPlan::new(FaultProfile::lossy_feeds(), w.truth.seed);
-        let serial = collect_content(
-            &w,
-            &members,
-            &plan,
-            &Parallelism::serial(),
-            &Obs::off(),
-            DEFAULT_CHUNK_SIZE,
-        );
-        for (workers, chunk) in [(2, DEFAULT_CHUNK_SIZE), (8, DEFAULT_CHUNK_SIZE), (3, 113)] {
+        let serial = collect_content(&w, &members, &plan, &Parallelism::serial(), &Obs::off());
+        for workers in [2, 3, 8] {
             let parallel = collect_content(
                 &w,
                 &members,
                 &plan,
                 &Parallelism::fixed(workers),
                 &Obs::off(),
-                chunk,
             );
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_feeds_equal(a, b);
@@ -939,7 +878,6 @@ mod tests {
             &FaultPlan::off(w.truth.seed),
             &Parallelism::serial(),
             &Obs::off(),
-            DEFAULT_CHUNK_SIZE,
         );
         let faulted_samples: u64 = serial.iter().filter_map(|f| f.samples).sum();
         let clean_samples: u64 = clean.iter().filter_map(|f| f.samples).sum();
@@ -960,21 +898,13 @@ mod tests {
             window: TimeWindow::new(SimTime::ZERO, SimTime(u64::MAX)),
         });
         let plan = FaultPlan::new(profile, w.truth.seed);
-        let feeds = collect_content(
-            &w,
-            &members,
-            &plan,
-            &Parallelism::fixed(4),
-            &Obs::off(),
-            DEFAULT_CHUNK_SIZE,
-        );
+        let feeds = collect_content(&w, &members, &plan, &Parallelism::fixed(4), &Obs::off());
         let clean = collect_content(
             &w,
             &members,
             &FaultPlan::off(w.truth.seed),
             &Parallelism::fixed(4),
             &Obs::off(),
-            DEFAULT_CHUNK_SIZE,
         );
         for (f, c) in feeds.iter().zip(&clean) {
             if f.id == FeedId::Bot {
@@ -989,14 +919,14 @@ mod tests {
 
     #[test]
     fn shard_ranges_cover_exactly() {
-        for (n, parts) in [(0, 4), (1, 4), (10, 3), (100, 7), (5, 9)] {
-            let ranges = shard_ranges(n, parts);
-            let mut next = 0;
+        for (lo, n, parts) in [(0, 0, 4), (3, 1, 4), (0, 10, 3), (17, 100, 7), (5, 5, 9)] {
+            let ranges = shard_ranges(lo..lo + n, parts);
+            let mut next = lo;
             for r in &ranges {
                 assert_eq!(r.start, next);
                 next = r.end;
             }
-            assert_eq!(next, n, "n={n} parts={parts}");
+            assert_eq!(next, lo + n, "lo={lo} n={n} parts={parts}");
         }
     }
 }

@@ -7,6 +7,8 @@
 //! fails validation — surface as a [`PipelineError`] instead of a
 //! panic.
 
+use taster_ecosystem::GenerateError;
+
 /// An unrecoverable error in the collection pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
@@ -16,8 +18,9 @@ pub enum PipelineError {
     InvalidFaultProfile(String),
     /// The scenario failed validation (reported by `taster-core`).
     InvalidScenario(String),
-    /// Ground-truth generation rejected its configuration.
-    Generation(String),
+    /// Ground-truth generation rejected its configuration (including a
+    /// memory budget below the floor).
+    Generation(GenerateError),
     /// A run produced no records in any feed without an outage model
     /// that explains it — a silent zero row in a sweep or benchmark
     /// would hide real breakage, so this surfaces as a typed error.

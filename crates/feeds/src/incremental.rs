@@ -36,8 +36,6 @@ use crate::error::PipelineError;
 use crate::feed::{Feed, FeedSet};
 use crate::id::FeedId;
 use crate::pipeline::content_members;
-use std::ops::Range;
-use taster_ecosystem::buffer::EventBuffer;
 use taster_mailsim::MailWorld;
 use taster_sim::{FaultPlan, Parallelism, SimTime};
 
@@ -203,38 +201,21 @@ impl IngestState {
             return 0;
         }
         let ctx = RunCtx::build(world, &self.members, plan, self.fast_ok.clone());
-        let range = self.rows_done..target;
-        let results = if let Some(cache) = world.truth.cache() {
-            let shards: Vec<Range<usize>> = shard_ranges(range.len(), par.workers())
-                .into_iter()
-                .map(|r| r.start + range.start..r.end + range.start)
-                .collect();
-            par.par_map(shards, |rows| run_rows(&ctx, cache, rows, false))
-        } else {
-            // Out of core: replay the generation-order stream, keeping
-            // only rows whose sorted rank falls inside the slice. The
-            // scratch buffer carries each row's global sorted index, so
-            // every keyed decision is identical to the in-core path.
-            let rank = &world.truth.log.rank;
-            let mut buf = EventBuffer::with_capacity(range.len());
-            for (g, ev) in world.truth.events().enumerate() {
-                let r = rank[g] as usize;
-                if range.contains(&r) {
-                    buf.push(&ev, rank[g]);
+        let start = self.rows_done;
+        let mut watermark = self.watermark;
+        world.truth.for_each_sorted(start..target, |buf, rows| {
+            watermark = buf.time[rows.end - 1];
+            let shards = shard_ranges(rows, par.workers());
+            for (shard, _metrics) in par.par_map(shards, |r| run_rows(&ctx, buf, r, false)) {
+                for (piece, member) in shard.into_iter().zip(&self.members) {
+                    self.feeds[member_feed_index(member)].merge(piece);
                 }
             }
-            let shards = shard_ranges(buf.len(), par.workers());
-            par.par_map(shards, |rows| run_rows(&ctx, &buf, rows, false))
-        };
-        for (shard, _metrics) in results {
-            for (piece, member) in shard.into_iter().zip(&self.members) {
-                self.feeds[member_feed_index(member)].merge(piece);
-            }
-        }
+        });
         self.rows_done = target;
-        self.watermark = watermark_at(world, target);
+        self.watermark = watermark;
         self.replay_sources_to(self.watermark);
-        target - range.start
+        target - start
     }
 
     /// Applies every pre-decided source record with `time <= limit`.
@@ -272,20 +253,13 @@ impl IngestState {
 /// The sim-time watermark after `rows` time-sorted rows: the time of
 /// the last ingested row (or zero before any row).
 fn watermark_at(world: &MailWorld, rows: usize) -> SimTime {
-    if rows == 0 {
-        return SimTime::ZERO;
+    let mut watermark = SimTime::ZERO;
+    if rows > 0 {
+        world
+            .truth
+            .for_each_sorted(rows - 1..rows, |buf, r| watermark = buf.time[r.end - 1]);
     }
-    if let Some(cache) = world.truth.cache() {
-        return cache.time[rows - 1];
-    }
-    let want = (rows - 1) as u32;
-    let rank = &world.truth.log.rank;
-    for (g, ev) in world.truth.events().enumerate() {
-        if rank[g] == want {
-            return ev.time;
-        }
-    }
-    SimTime::ZERO
+    watermark
 }
 
 /// Attaches outage windows as gap markers, as the batch pipeline does.
@@ -308,10 +282,23 @@ mod tests {
     use taster_mailsim::MailConfig;
     use taster_sim::FaultProfile;
 
-    fn world(scale: f64, seed: u64) -> MailWorld {
-        let truth = GroundTruth::generate(&EcosystemConfig::default().with_scale(scale), seed)
-            .expect("generate");
+    fn world(scale: f64, seed: u64, max_mem_bytes: Option<u64>) -> MailWorld {
+        let mut config = EcosystemConfig::default().with_scale(scale);
+        config.max_mem_bytes = max_mem_bytes;
+        let truth = GroundTruth::generate(&config, seed).expect("generate");
         MailWorld::build(truth, MailConfig::default().with_scale(scale)).expect("build")
+    }
+
+    /// The in-core world, and the same world under a budget of the
+    /// rank permutation plus 4096 rows, which ingests out of core in
+    /// several sorted buckets per epoch.
+    fn worlds() -> [MailWorld; 2] {
+        let in_core = world(0.02, 67, None);
+        let n = in_core.truth.log.len as u64;
+        let row = taster_ecosystem::buffer::EventBuffer::bytes_per_event() as u64;
+        let streamed = world(0.02, 67, Some(4 * n + 4096 * row));
+        assert!(in_core.truth.in_core() && !streamed.truth.in_core());
+        [in_core, streamed]
     }
 
     fn assert_sets_equal(a: &FeedSet, b: &FeedSet) {
@@ -329,46 +316,52 @@ mod tests {
 
     #[test]
     fn epoch_ingestion_matches_batch_collection() {
-        let w = world(0.02, 67);
+        let [reference, streamed] = worlds();
         let cfg = FeedsConfig::default();
         for profile in [FaultProfile::off(), FaultProfile::lossy_feeds()] {
-            let plan = FaultPlan::new(profile, w.truth.seed);
-            let batch =
-                try_collect_all_faulted(&w, &cfg, &plan, &Parallelism::serial()).expect("batch");
-            let mut state = IngestState::new(&w, &cfg, &plan).expect("state");
-            let par = Parallelism::fixed(2);
-            // Ragged epochs on purpose: boundaries must not matter.
-            let total = state.total_rows();
-            for target in [total / 7, total / 3, total / 2 + 11, total] {
-                state.advance(&w, &plan, &par, target);
+            let plan = FaultPlan::new(profile, reference.truth.seed);
+            let batch = try_collect_all_faulted(&reference, &cfg, &plan, &Parallelism::serial())
+                .expect("batch");
+            for w in [&reference, &streamed] {
+                let mut state = IngestState::new(w, &cfg, &plan).expect("state");
+                let par = Parallelism::fixed(2);
+                // Ragged epochs on purpose: boundaries must not matter.
+                let total = state.total_rows();
+                for target in [total / 7, total / 3, total / 2 + 11, total] {
+                    state.advance(w, &plan, &par, target);
+                    assert_eq!(state.watermark(), watermark_at(&reference, target));
+                }
+                let incremental = state.finish(&plan);
+                assert_sets_equal(&batch, &incremental);
             }
-            let incremental = state.finish(&plan);
-            assert_sets_equal(&batch, &incremental);
         }
     }
 
     #[test]
     fn resume_from_restored_feeds_matches_uninterrupted() {
-        let w = world(0.02, 67);
+        let [reference, streamed] = worlds();
         let cfg = FeedsConfig::default();
-        let plan = FaultPlan::new(FaultProfile::feed_outage(), w.truth.seed);
+        let plan = FaultPlan::new(FaultProfile::feed_outage(), reference.truth.seed);
         let par = Parallelism::serial();
 
-        let mut full = IngestState::new(&w, &cfg, &plan).expect("state");
+        let mut full = IngestState::new(&reference, &cfg, &plan).expect("state");
         let total = full.total_rows();
-        full.advance(&w, &plan, &par, total);
+        full.advance(&reference, &plan, &par, total);
         let uninterrupted = full.finish(&plan);
 
-        // "Crash" after 40% of the rows: keep only the building feeds
-        // and the row counter, as a checkpoint would.
-        let mut first = IngestState::new(&w, &cfg, &plan).expect("state");
-        let stop = total * 2 / 5;
-        first.advance(&w, &plan, &par, stop);
-        let feeds = first.feeds().to_vec();
+        for w in [&reference, &streamed] {
+            // "Crash" after 40% of the rows: keep only the building
+            // feeds and the row counter, as a checkpoint would.
+            let mut first = IngestState::new(w, &cfg, &plan).expect("state");
+            let stop = total * 2 / 5;
+            first.advance(w, &plan, &par, stop);
+            let feeds = first.feeds().to_vec();
 
-        let mut resumed = IngestState::resume(&w, &cfg, &plan, feeds, stop).expect("resume");
-        resumed.advance(&w, &plan, &par, total);
-        let replayed = resumed.finish(&plan);
-        assert_sets_equal(&uninterrupted, &replayed);
+            let mut resumed = IngestState::resume(w, &cfg, &plan, feeds, stop).expect("resume");
+            assert_eq!(resumed.watermark(), first.watermark());
+            resumed.advance(w, &plan, &par, total);
+            let replayed = resumed.finish(&plan);
+            assert_sets_equal(&uninterrupted, &replayed);
+        }
     }
 }

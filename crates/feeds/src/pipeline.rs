@@ -111,7 +111,7 @@ pub fn try_collect_all_observed(
     let (content, hu) = obs.stage(STAGE_COLLECT, || {
         let content = {
             let _span = obs.span("collect/content");
-            collect_content(world, &members, plan, par, obs, config.chunk_size)
+            collect_content(world, &members, plan, par, obs)
         };
         let hu = {
             let _span = obs.span("collect/hu");

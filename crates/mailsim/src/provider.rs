@@ -25,18 +25,6 @@ use taster_sim::{RngStream, SimTime, TimeWindow, DAY};
 use taster_stats::sample::standard_normal;
 use taster_stats::EmpiricalDist;
 
-/// Sorted-position bucket width for the provider loop. The provider's
-/// filter-feedback state is sequential in *time-sorted* order, but the
-/// event log is only available as a generation-order replay stream; so
-/// events are consumed bucket-by-bucket — one full replay per bucket,
-/// scattering the events whose sorted position falls inside it into a
-/// struct-of-arrays buffer (~26 bytes/row). Peak memory is O(bucket),
-/// and the RNG/counter state threads across buckets untouched, so the
-/// draw sequence is identical to a single sorted pass. The width
-/// trades replay passes against resident bucket bytes: 2^21 rows is
-/// ~55 MB and two passes at paper scale.
-pub const PROVIDER_BUCKET: usize = 1 << 21;
-
 /// One "this is spam" user report.
 #[derive(Debug, Clone)]
 pub struct UserReport {
@@ -88,12 +76,9 @@ pub fn run_provider(truth: &GroundTruth, config: &MailConfig) -> Result<Provider
 
     let ln_median = config.report_delay_median_secs.ln();
 
-    let n = truth.log.len;
     // The body below is sequential in time-sorted order: the RNG and
-    // the filter-feedback counters thread row to row. It runs either
-    // directly over the sorted cache or over scatter buckets rebuilt
-    // from the replay stream — the rows arrive in the same order
-    // either way, so the draw sequence is identical.
+    // the filter-feedback counters thread row to row, and carry over
+    // from one sorted bucket to the next untouched.
     let mut process_row = |bucket: &EventBuffer, r: usize| {
         {
             let event: SpamEvent = bucket.event(r);
@@ -172,44 +157,11 @@ pub fn run_provider(truth: &GroundTruth, config: &MailConfig) -> Result<Provider
         }
     };
 
-    if let Some(cache) = truth.cache() {
-        // In-core: the sorted cache *is* the bucket sequence — one
-        // linear pass, no replays.
-        for r in 0..cache.len() {
-            process_row(cache, r);
+    truth.for_each_sorted(0..truth.log.len, |bucket, rows| {
+        for r in rows {
+            process_row(bucket, r);
         }
-    } else {
-        // Out of core: one full replay per bucket, scattering the rows
-        // whose sorted position falls inside it. The bucket width obeys
-        // the memory budget (capped at the classic provider bucket).
-        let bucket_rows = truth.config.budget_rows(n as u64).clamp(1, PROVIDER_BUCKET);
-        let rank = &truth.log.rank;
-        let mut bucket = EventBuffer::default();
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + bucket_rows).min(n);
-            bucket.reset_for_scatter(hi - lo);
-            #[cfg(debug_assertions)]
-            let mut filled = vec![false; hi - lo];
-            for (g, event) in truth.events().enumerate() {
-                let r = rank[g] as usize;
-                if r >= lo && r < hi {
-                    bucket.set(r - lo, &event, r as u32);
-                    #[cfg(debug_assertions)]
-                    {
-                        filled[r - lo] = true;
-                    }
-                }
-            }
-            // `rank` is a permutation of 0..n, so every slot is filled.
-            #[cfg(debug_assertions)]
-            debug_assert!(filled.iter().all(|&f| f), "hole in sorted-event bucket");
-            for r in 0..bucket.len() {
-                process_row(&bucket, r);
-            }
-            lo = hi;
-        }
-    }
+    });
 
     // ---- users reporting legitimate commercial mail (§3.2: "human
     // identified spam can include legitimate commercial e-mail").

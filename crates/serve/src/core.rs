@@ -278,11 +278,10 @@ impl ServeCore {
 /// that changes collection output or epoch boundaries.
 pub fn fingerprint(scenario: &Scenario, epoch_events: usize) -> String {
     format!(
-        "v1 seed={} scenario={} profile={} chunk={} epoch_events={}",
+        "v2 seed={} scenario={} profile={} epoch_events={}",
         scenario.seed,
         scenario.name,
         scenario.fault_plan().profile().name,
-        scenario.feeds.chunk_size,
         epoch_events
     )
 }

@@ -51,7 +51,7 @@
 //! accepted, e.g. `--scale 0.1,1.0`) and writes the timings (plus
 //! speedups relative to one worker) as JSON, by default to
 //! `BENCH_pipeline.json`. Each scale entry records the event count,
-//! the streaming chunk size, a peak-buffer memory estimate, and
+//! a peak event-buffer memory estimate under the memory budget, and
 //! per-run collect throughput in events/sec;
 //! `--min-events-per-sec R` turns the best throughput into a CI
 //! floor (exit 1 below it). Every number is read back from the
@@ -59,9 +59,12 @@
 //! profile` prints — so the bench and the profile can never disagree
 //! about a stage.
 //!
-//! `--chunk N` pins the streaming collection chunk (rows per
-//! generate+collect pass; default 65 536). Chunk size never changes
-//! any output byte — only peak memory and locality.
+//! `--max-mem-bytes B` caps the bytes the event readers hold (default
+//! 1 GiB). When the time-sorted event cache does not fit, the readers
+//! replay the event stream in buffers sized to the budget; no output
+//! byte changes. A budget below the floor — 4 bytes per event for the
+//! rank permutation plus one event row — is refused before the first
+//! event draw (exit 1, with the floor named on stderr).
 //!
 //! Observability flags:
 //!
@@ -104,7 +107,6 @@ struct Args {
     metrics: bool,
     trace: Option<String>,
     overhead_gate: Option<f64>,
-    chunk: Option<usize>,
     max_mem_bytes: Option<u64>,
     min_events_per_sec: Option<f64>,
     self_test: bool,
@@ -147,7 +149,6 @@ fn parse_args() -> Result<Args, String> {
         metrics: false,
         trace: None,
         overhead_gate: None,
-        chunk: None,
         max_mem_bytes: None,
         min_events_per_sec: None,
         self_test: false,
@@ -217,17 +218,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => {
                 out.out = args.next().ok_or("--out needs a value")?;
-            }
-            "--chunk" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--chunk needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --chunk: {e}"))?;
-                if n == 0 {
-                    return Err("--chunk must be at least 1".to_string());
-                }
-                out.chunk = Some(n);
             }
             "--max-mem-bytes" => {
                 let n: u64 = args
@@ -390,7 +380,7 @@ fn parse_args() -> Result<Args, String> {
 fn usage() -> String {
     "usage: taster <report|ablate|sweep|summary|degradation|bench-json|profile|serve|loadgen|\
      replicate|ab|lint> \
-     [--scale S[,S...]] [--seed N] [--threads N] [--chunk N] [--max-mem-bytes B] \
+     [--scale S[,S...]] [--seed N] [--threads N] [--max-mem-bytes B] \
      [--section NAME] [--faults PROFILE] [--out PATH] [--metrics] [--trace PATH] \
      [--overhead-gate FRAC] [--min-events-per-sec R]\n       \
      taster replicate [--seeds N] [--resamples N] [--level F] [--format json] \
@@ -428,9 +418,6 @@ fn main() {
         .with_seed(args.seed);
     if let Some(n) = args.threads {
         scenario = scenario.with_threads(n);
-    }
-    if let Some(c) = args.chunk {
-        scenario.feeds.chunk_size = c;
     }
     if let Some(b) = args.max_mem_bytes {
         scenario.ecosystem.max_mem_bytes = Some(b);
@@ -713,7 +700,7 @@ fn profile_cmd(scenario: &Scenario, args: &Args) {
         args.scales[0],
         &scenario.name,
         e.world.truth.log.len as u64,
-        scenario.feeds.chunk_size,
+        &scenario.ecosystem,
         vec![row],
     );
     let json = profile::bench_json_string(scenario.seed, 1, &[entry]);
@@ -832,8 +819,8 @@ fn do_sweep(scenario: &Scenario, which: Option<&str>) {
 /// `lossy-feeds`/`flaky-crawler` fault profiles), and the four
 /// analysis stages (coverage, purity, proportionality, timing) at
 /// 1/2/4/8 workers over one shared world per `--scale` value and
-/// writes the results as JSON — per scale: the event count, streaming
-/// chunk size, peak-buffer estimate, and per-run events/sec. Every
+/// writes the results as JSON — per scale: the event count, the
+/// peak event-buffer estimate, and per-run events/sec. Every
 /// number is sourced from the observability layer's metrics registry
 /// ([`profile::bench_stages`]); every timed run produces bit-identical
 /// output, only wall-clock varies. With `--min-events-per-sec R`, the
@@ -848,9 +835,6 @@ fn bench_json(args: &Args) {
             .with_seed(args.seed);
         if let Some(n) = args.threads {
             scenario = scenario.with_threads(n);
-        }
-        if let Some(c) = args.chunk {
-            scenario.feeds.chunk_size = c;
         }
         if let Some(b) = args.max_mem_bytes {
             scenario.ecosystem.max_mem_bytes = Some(b);
@@ -919,24 +903,12 @@ fn bench_json(args: &Args) {
             .timing(replicate::STAGE_REPLICATE)
             .unwrap_or(0.0);
         eprintln!("replicate (2 seeds) {replicate_secs:.3}s");
-        let entry = profile::ScaleBench::new(
-            scale,
-            &scenario.name,
-            events,
-            scenario.feeds.chunk_size,
-            rows,
-        )
-        .with_stream_peak_bytes(profile::budget_peak_bytes(
-            &scenario.ecosystem,
-            events,
-            scenario.feeds.chunk_size,
-        ))
-        .with_end_to_end(e2e)
-        .with_replicate_secs(replicate_secs);
+        let entry =
+            profile::ScaleBench::new(scale, &scenario.name, events, &scenario.ecosystem, rows)
+                .with_end_to_end(e2e)
+                .with_replicate_secs(replicate_secs);
         eprintln!(
-            "scale {scale}: {events} events, chunk {}, ~{:.1} MB peak event buffers, \
-             best {:.0} events/s",
-            entry.chunk_size,
+            "scale {scale}: {events} events, ~{:.1} MB peak event buffers, best {:.0} events/s",
             entry.stream_peak_bytes as f64 / 1e6,
             entry.best_events_per_sec(),
         );

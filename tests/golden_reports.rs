@@ -187,7 +187,7 @@ fn report_stage_keys_all_reach_bench_json() {
         SCALE,
         &exp.scenario.name,
         exp.world.truth.log.len as u64,
-        exp.scenario.feeds.chunk_size,
+        &exp.scenario.ecosystem,
         vec![row],
     );
     let json = profile::bench_json_string(exp.scenario.seed, 1, &[entry]);
